@@ -22,8 +22,7 @@ guard is enough to seed its baseline.
 slow reference kernel); with ``--only`` it re-baselines just the named
 kernels, leaving every other committed entry untouched.  ``--only``
 restricts the guard to the named kernels — the CI ``des-scale-smoke``
-/ ``parallel-des-smoke`` jobs use it to run single benchmarks under
-their wall-clock budgets.  Names are validated against the full
+job uses it to run single benchmarks under their wall-clock budgets.  Names are validated against the full
 registry; ``--list`` prints it (with each kernel's baseline file,
 guard flag, and committed seconds) and exits.
 ``--profile`` runs each selected benchmark under :mod:`cProfile` and
@@ -48,7 +47,6 @@ BASELINE_FILES = (
     "BENCH_pipeline.json",
     "BENCH_des.json",
     "BENCH_fault.json",
-    "BENCH_parallel.json",
     "BENCH_farm.json",
     "BENCH_compositing.json",
     "BENCH_timeseries.json",

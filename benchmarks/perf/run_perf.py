@@ -107,39 +107,6 @@ def _des_meta(entries: list[dict], root: pathlib.Path) -> dict:
     return meta
 
 
-def _parallel_meta(entries: list[dict]) -> dict:
-    """The parallel baseline's meta block.
-
-    Simulated-time numbers are worker- and host-independent (bitwise
-    invariance is the backend's contract); the wall-clock curve is an
-    honest measurement on this host, so the CPU count rides along —
-    on a single-core host the workers time-share and the "speedup"
-    records synchronization overhead instead.
-    """
-    import os
-
-    by_name = {e["name"]: e for e in entries}
-    meta: dict = {"host_cpu_count": os.cpu_count()}
-    scaling = by_name.get("parallel_strong_scaling_8192")
-    if scaling is not None:
-        meta["strong_scaling_8192_wall_s"] = scaling["workers_wall_s"]
-        meta["speedup_4w_vs_1w"] = scaling["speedup_4w_vs_1w"]
-    full = by_name.get("parallel_directsend_32768")
-    limited = by_name.get("parallel_directsend_32768_m2048")
-    if full is not None and limited is not None:
-        # Mechanical (transport-only) side of the paper's Fig. 8 story:
-        # the DES replays injection/ejection serialization and hop
-        # latencies but deliberately not the phase-level contention
-        # law, so this ratio isolates the mechanical share of the
-        # compositor-limiting win; the contention law widens it — see
-        # model_vs_des_32k in benchmarks/.
-        ratio = full["sim_elapsed_s"] / limited["sim_elapsed_s"]
-        meta["mechanical_limiting_ratio_32k"] = ratio
-        print(f"32K compositor limiting (DES-mechanical): m=n / m=2048 "
-              f"simulated-time ratio {ratio:.2f}x")
-    return meta
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=str(REPO_ROOT), help="output directory")
@@ -205,8 +172,6 @@ def main(argv=None) -> int:
             meta.update(_render_meta(entries))
         elif filename == "BENCH_des.json":
             meta.update(_des_meta(entries, out))
-        elif filename == "BENCH_parallel.json":
-            meta.update(_parallel_meta(entries))
         doc = {"meta": meta, "benchmarks": entries}
         path.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {path}")

@@ -300,7 +300,6 @@ def _register_des() -> None:
     from benchmarks.perf.des_scale import DES_BENCHMARKS
     from benchmarks.perf.farm_serve import FARM_BENCHMARKS
     from benchmarks.perf.fault_overhead import FAULT_BENCHMARKS
-    from benchmarks.perf.parallel_scale import PARALLEL_BENCHMARKS
     from benchmarks.perf.progressive_refine import PROGRESSIVE_BENCHMARKS
     from benchmarks.perf.timeseries_pipeline import TIMESERIES_BENCHMARKS
 
@@ -308,7 +307,6 @@ def _register_des() -> None:
     BENCHMARKS.update(DES_BENCHMARKS)
     BENCHMARKS.update(FARM_BENCHMARKS)
     BENCHMARKS.update(FAULT_BENCHMARKS)
-    BENCHMARKS.update(PARALLEL_BENCHMARKS)
     BENCHMARKS.update(PROGRESSIVE_BENCHMARKS)
     BENCHMARKS.update(TIMESERIES_BENCHMARKS)
 

@@ -37,13 +37,12 @@ GRID_2048 = (128, 128, 128)
 IMAGE_2048 = 512
 CONFIGS_2048 = ((2048, 2048), (2048, 128))
 
-#: Full machine scale, affordable through the sharded parallel DES
-#: backend: the paper's Fig. 8 point (32K ranks) plus the 8192-rank
-#: step, each under m = n and the limited-m mitigation.
+#: Full machine scale: the paper's Fig. 8 point (32K ranks) plus the
+#: 8192-rank step, each under m = n and the limited-m mitigation.
 CONFIGS_32K = ((8192, 8192), (8192, 2048), (32768, 32768), (32768, 2048))
 
 
-def des_composite(nprocs: int, schedule, parallel=None) -> float:
+def des_composite(nprocs: int, schedule) -> float:
     """Run one compositing phase with virtual payloads; simulated secs."""
 
     def program(ctx):
@@ -61,7 +60,7 @@ def des_composite(nprocs: int, schedule, parallel=None) -> float:
         return None
 
     world = MPIWorld.for_cores(nprocs)
-    return world.run(program, parallel=parallel).elapsed_s
+    return world.run(program).elapsed_s
 
 
 def test_model_vs_des_composite(benchmark, results_dir):
@@ -158,9 +157,7 @@ def test_model_vs_des_composite_2048(benchmark, results_dir):
 
 def test_model_vs_des_composite_32k(benchmark, results_dir):
     """The cross-check at 8192 and 32768 ranks, full fidelity — every
-    compositing message a DES event, no analytic shortcut — through
-    the sharded conservative-parallel backend (workers=2; the result
-    is bitwise independent of the worker count).
+    compositing message a DES event, no analytic shortcut.
 
     These scales cross the contention threshold, so the comparison
     splits the model: the DES must land in-band against the mechanical
@@ -168,18 +165,15 @@ def test_model_vs_des_composite_32k(benchmark, results_dir):
     the DES transport deliberately does not replay) alone carries the
     Fig. 8 m = n collapse.  Both the DES-mechanical and the full-model
     32K compositor-limiting ratios are recorded for EXPERIMENTS.md."""
-    from repro.sim.parallel import ParallelConfig
-
     cam = Camera.looking_at_volume(GRID_2048, width=IMAGE_2048, height=IMAGE_2048)
     model = CompositeTimeModel()
-    parallel = ParallelConfig(workers=2)
 
     def collect():
         rows = []
         for nprocs, m in CONFIGS_32K:
             dec = BlockDecomposition(GRID_2048, nprocs)
             sched = schedule_from_geometry(dec, cam, m)
-            des_s = des_composite(nprocs, sched, parallel=parallel)
+            des_s = des_composite(nprocs, sched)
             priced = model.price(vectorized_schedule_stats(dec, cam, m))
             rows.append(
                 (nprocs, m, des_s, priced.endpoint_s, priced.contention_s,
@@ -220,7 +214,7 @@ def test_model_vs_des_composite_32k(benchmark, results_dir):
     write_result(
         results_dir,
         "model_vs_des_32k",
-        "Cross-validation at 8192/32768 ranks (parallel DES backend)\n\n"
+        "Cross-validation at 8192/32768 ranks (monolithic DES engine)\n\n"
         + table
         + f"\n\n32K compositor-limiting ratio (m=n / m=2048):"
         f" model {model_ratio:.2f}x, DES-mechanical {des_ratio:.2f}x",

@@ -67,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--step", type=float, default=0.7, help="ray sampling step")
     p_render.add_argument("--out", default="frame.ppm", help="output PPM path")
     p_render.add_argument(
-        "--workers", type=int, default=1,
-        help="DES worker processes (>1 selects the sharded conservative-"
-        "parallel backend; any count gives identical results)",
-    )
-    p_render.add_argument(
         "--compositor", default="directsend",
         choices=("directsend", "dfb", "puzzlepiece", "binaryswap", "radixk", "serial"),
         help="compositing backend (default directsend; see repro.compositing.backends)",
@@ -134,10 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compositing backend (default directsend)",
     )
     p_ts.add_argument(
-        "--workers", type=int, default=1,
-        help="DES worker processes (>1 selects the sharded parallel backend)",
-    )
-    p_ts.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write the campaign's Chrome trace (I/O + compute lanes)",
     )
@@ -176,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--compositor", default="directsend",
         choices=("directsend", "dfb", "puzzlepiece", "binaryswap", "radixk", "serial"),
         help="compositing backend (default directsend)",
-    )
-    p_prog.add_argument(
-        "--workers", type=int, default=1,
-        help="DES worker processes (>1 selects the sharded parallel backend)",
     )
     p_prog.add_argument(
         "--out", default=None, metavar="PREFIX",
@@ -349,7 +336,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     from repro.pio import H5LiteHandle, IOHints, NetCDFHandle, RawHandle
     from repro.render import Camera, TransferFunction
     from repro.render.image import image_to_ppm
-    from repro.vmpi import MPIWorld, ParallelConfig
+    from repro.vmpi import MPIWorld
 
     grid = (args.grid,) * 3
     model = SupernovaModel(grid, seed=args.seed, time=args.time)
@@ -364,11 +351,9 @@ def cmd_render(args: argparse.Namespace) -> int:
         azimuth_deg=args.azimuth, elevation_deg=args.elevation,
     )
     transfer = TransferFunction.supernova(*model.value_range(args.variable))
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
     renderer = ParallelVolumeRenderer(
         MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
         hints=IOHints(cb_buffer_size=1 << 17, cb_nodes=max(args.cores // 4, 1)),
-        parallel=parallel,
         compositor=args.compositor,
         error_budget=args.error_budget,
     )
@@ -436,7 +421,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
     from repro.pio import H5LiteHandle, IOHints, NetCDFHandle, RawHandle
     from repro.render import Camera, TransferFunction
     from repro.utils.units import fmt_time
-    from repro.vmpi import MPIWorld, ParallelConfig
+    from repro.vmpi import MPIWorld
 
     grid = (args.grid,) * 3
     handles = []
@@ -453,11 +438,10 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
             handles.append(H5LiteHandle(write_vh1_h5lite(model), args.variable))
     camera = Camera.looking_at_volume(grid, width=args.image, height=args.image)
     transfer = TransferFunction.supernova(*vrange)
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
     renderer = ParallelVolumeRenderer(
         MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
         hints=IOHints(cb_buffer_size=1 << 17, cb_nodes=max(args.cores // 4, 1)),
-        parallel=parallel, compositor=args.compositor,
+        compositor=args.compositor,
     )
     pipelined = PipelinedTimeSeriesRenderer(
         renderer, prefetch_depth=args.prefetch_depth, discipline=args.discipline
@@ -523,7 +507,7 @@ def cmd_progressive(args: argparse.Namespace) -> int:
     from repro.progressive import ProgressiveRenderer, ProgressiveSession
     from repro.render import Camera, TransferFunction
     from repro.utils.units import fmt_time
-    from repro.vmpi import MPIWorld, ParallelConfig
+    from repro.vmpi import MPIWorld
 
     grid = (args.grid,) * 3
     model = SupernovaModel(grid, seed=args.seed)
@@ -531,11 +515,10 @@ def cmd_progressive(args: argparse.Namespace) -> int:
     handle = RawHandle(extract_variable_raw(model, args.variable))
     camera = Camera.looking_at_volume(grid, width=args.image, height=args.image)
     transfer = TransferFunction.supernova(*model.value_range(args.variable))
-    parallel = ParallelConfig(workers=args.workers) if args.workers > 1 else None
     renderer = ParallelVolumeRenderer(
         MPIWorld.for_cores(args.cores), camera, transfer, step=args.step,
         hints=IOHints(cb_buffer_size=1 << 16, cb_nodes=max(args.cores // 4, 1)),
-        parallel=parallel, compositor=args.compositor,
+        compositor=args.compositor,
     )
     tracer = Tracer(enabled=True) if args.trace_out else None
     progressive = ProgressiveRenderer(renderer, levels=args.levels, tracer=tracer)

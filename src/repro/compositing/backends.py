@@ -80,14 +80,11 @@ class CompositingBackend:
     supports_failover: bool = False
     #: Honors a nonzero ``error_budget``.
     supports_error_budget: bool = False
-    #: Runs under the sharded conservative-parallel DES backend.
-    supports_parallel: bool = True
 
     def validate(
         self,
         nprocs: int,
         decomposition: BlockDecomposition | None = None,
-        parallel: Any = None,
         failover: bool = False,
         error_budget: float = 0.0,
     ) -> None:
@@ -101,12 +98,6 @@ class CompositingBackend:
             raise ConfigError(
                 f"compositor {self.name!r} is exact and ignores no error "
                 f"budget; error_budget requires 'puzzlepiece'"
-            )
-        if parallel is not None and not self.supports_parallel:
-            raise ConfigError(
-                f"compositor {self.name!r} requires the monolithic DES "
-                f"engine (its drain protocol uses the global-interrupt "
-                f"barrier); drop the ParallelConfig"
             )
 
     def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
@@ -179,7 +170,6 @@ class PuzzlepieceBackend(CompositingBackend):
     name = "puzzlepiece"
     exact = False  # exact only at error_budget == 0
     supports_error_budget = True
-    supports_parallel = False  # gi_barrier needs the monolithic engine
 
     def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
         tr = ctx.tracer
@@ -233,9 +223,9 @@ class BinarySwapBackend(CompositingBackend):
 
     name = "binaryswap"
 
-    def validate(self, nprocs, decomposition=None, parallel=None,
-                 failover=False, error_budget=0.0):
-        super().validate(nprocs, decomposition, parallel, failover, error_budget)
+    def validate(self, nprocs, decomposition=None, failover=False,
+                 error_budget=0.0):
+        super().validate(nprocs, decomposition, failover, error_budget)
         grid = _check_one_block_per_rank(self.name, nprocs, decomposition)
         for d, extent in zip("zyx", grid):
             if extent & (extent - 1):
@@ -268,9 +258,9 @@ class RadixKBackend(CompositingBackend):
     name = "radixk"
     k = 4
 
-    def validate(self, nprocs, decomposition=None, parallel=None,
-                 failover=False, error_budget=0.0):
-        super().validate(nprocs, decomposition, parallel, failover, error_budget)
+    def validate(self, nprocs, decomposition=None, failover=False,
+                 error_budget=0.0):
+        super().validate(nprocs, decomposition, failover, error_budget)
         grid = _check_one_block_per_rank(self.name, nprocs, decomposition)
         for extent in grid:
             default_radices(extent, self.k)  # raises ConfigError if unfactorable

@@ -96,9 +96,7 @@ def puzzlepiece_compose(
 
     Aggregating ``dropped`` per tile across ranks and taking the max
     over tiles bounds the frame's per-pixel error (see the backend's
-    ``finalize``).  Requires the monolithic DES engine — the drain
-    protocol's :meth:`gi_barrier` is not wired under the sharded
-    parallel backend.
+    ``finalize``).
     """
     tr = getattr(ctx, "tracer", None)
     if tr is not None and not tr.enabled:

@@ -32,7 +32,6 @@ from repro.pio.hints import IOHints
 from repro.pio.reader import DatasetHandle, IOReport, collective_read_blocks
 from repro.render.camera import Camera
 from repro.render.decomposition import BlockDecomposition
-from repro.sim.parallel import ParallelConfig
 from repro.render.raycast import render_block
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
@@ -113,7 +112,6 @@ class ParallelVolumeRenderer:
         tracer: Tracer | None = None,
         fault: Any = None,
         degrade: DegradePolicy | None = None,
-        parallel: "ParallelConfig | None" = None,
         compositor: str = "directsend",
         error_budget: float = 0.0,
     ):
@@ -135,7 +133,6 @@ class ParallelVolumeRenderer:
         self.tracer = tracer
         self.fault = fault  # optional repro.fault.FaultPlan, one per frame
         self.degrade = degrade
-        self.parallel = parallel  # optional repro.sim.ParallelConfig
         self.compositor = compositor
         self.backend = get_backend(compositor)  # fail fast on a typo
         self.error_budget = float(error_budget)
@@ -258,7 +255,6 @@ class ParallelVolumeRenderer:
         self.backend.validate(
             nprocs,
             decomposition=decomposition,
-            parallel=self.parallel,
             failover=failover,
             error_budget=error_budget,
         )
@@ -281,7 +277,6 @@ class ParallelVolumeRenderer:
             compositor=self.compositor,
             error_budget=error_budget,
             fault=injector,
-            parallel=self.parallel,
         )
         # The backend knows how its per-rank return values become the
         # frame (rank 0's gathered canvas, or — under failover, where
@@ -341,10 +336,9 @@ def _frame_program(
     timing record per frame.
 
     The render-time charge and the compositing phase belong to the
-    compositing backend (resolved here by name so the sharded parallel
-    workers need not pickle backend objects): overlapping schemes like
-    the Distributed FrameBuffer interleave the two, so the split is
-    theirs to make.  The direct-send backend reproduces the exact
+    compositing backend: overlapping schemes like the Distributed
+    FrameBuffer interleave the two, so the split is theirs to make.
+    The direct-send backend reproduces the exact
     pre-registry event sequence — one render compute, the fan-out, the
     root gather — keeping default frames bitwise frozen.
     """

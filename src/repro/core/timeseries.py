@@ -22,8 +22,7 @@ Two campaign drivers share one result type:
   stay bitwise identical to the oracle at every ``prefetch_depth``;
   only the campaign *clock* composition differs, computed by
   :func:`simulate_pipeline` on its own discrete-event engine (the
-  per-frame SPMD runs keep theirs, sharded-parallel or not, so the
-  prefetch coroutines coexist with any per-frame engine backend).
+  per-frame SPMD runs keep theirs).
 
 Overlapped reads are not priced in isolation: every read's priced
 demand is served through a

@@ -231,7 +231,6 @@ class ExecuteBackend:
         image: int = 24,
         step: float = 0.8,
         seed: int = 1530,
-        parallel: Any = None,
         compositor: str = "directsend",
         error_budget: float = 0.0,
     ):
@@ -240,7 +239,6 @@ class ExecuteBackend:
         self.image = int(image)
         self.step = float(step)
         self.seed = int(seed)
-        self.parallel = parallel  # optional repro.sim.ParallelConfig
         self.compositor = str(compositor)
         self.error_budget = float(error_budget)
         self._renderer = None
@@ -283,7 +281,7 @@ class ExecuteBackend:
         if self._renderer is None:
             self._renderer = ParallelVolumeRenderer(
                 MPIWorld.for_cores(self.world_cores), camera, transfer,
-                step=self.step, parallel=self.parallel,
+                step=self.step,
                 compositor=self.compositor, error_budget=self.error_budget,
             )
         self._renderer.camera = camera

@@ -18,7 +18,6 @@ Two cooperating views of the same network:
 from repro.network.topology import TorusTopology, TreeNetwork
 from repro.network.costs import LinkCostModel, ContentionLaw, NetworkCostModel
 from repro.network.desnet import DESNetwork
-from repro.network.shardnet import ShardNetwork
 
 __all__ = [
     "TorusTopology",
@@ -27,5 +26,4 @@ __all__ = [
     "ContentionLaw",
     "NetworkCostModel",
     "DESNetwork",
-    "ShardNetwork",
 ]

@@ -247,12 +247,5 @@ class TreeNetwork:
         """Height of the balanced binary tree over the nodes."""
         return max(1, int(np.ceil(np.log2(self.num_nodes)))) if self.num_nodes > 1 else 1
 
-    def broadcast_hops(self) -> int:
-        """Worst-case hops for a root-to-leaf traversal."""
-        return self.depth
-
-    def reduction_hops(self) -> int:
-        return self.depth
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TreeNetwork {self.num_nodes} nodes depth={self.depth}>"

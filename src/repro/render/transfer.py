@@ -46,7 +46,6 @@ class TransferFunction:
         self._lut = np.stack(
             [np.interp(xs, pts[:, 0], pts[:, 1 + c]) for c in range(4)], axis=1
         )
-        self._lut32 = self._lut.astype(np.float32)
         self._march_tables: dict[float, np.ndarray] = {}
 
     def _bin_index(self, values: np.ndarray) -> np.ndarray:
@@ -84,13 +83,6 @@ class TransferFunction:
         """Map raw scalar values -> (rgb (..., 3), extinction (...,))."""
         rgba = self._lut[self._bin_index(values)]
         return rgba[..., :3], rgba[..., 3] * self.max_extinction
-
-    def sample_f32(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`sample` but float32 outputs, for the float32 ray
-        march.  Bin selection is identical to :meth:`sample`; only the
-        looked-up table is single precision."""
-        rgba = self._lut32[self._bin_index(values)]
-        return rgba[..., :3], rgba[..., 3] * np.float32(self.max_extinction)
 
     @classmethod
     def grayscale_ramp(cls, vmin: float = 0.0, vmax: float = 1.0) -> "TransferFunction":

@@ -14,10 +14,5 @@ the rendering pipeline) is built from these three primitives.
 
 from repro.sim.events import Event, Future, Delay, AllOf
 from repro.sim.engine import Engine, Process
-from repro.sim.parallel import ParallelConfig
-from repro.sim.partition import ShardLayout
 
-__all__ = [
-    "Event", "Future", "Delay", "AllOf", "Engine", "Process",
-    "ParallelConfig", "ShardLayout",
-]
+__all__ = ["Event", "Future", "Delay", "AllOf", "Engine", "Process"]

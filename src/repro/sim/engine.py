@@ -206,10 +206,6 @@ class Engine:
 
     def __init__(self, tracer=None) -> None:
         self.now: float = 0.0
-        # Time of the last *executed* event.  ``run(until=...)`` ratchets
-        # ``now`` forward to the horizon even when nothing ran, so windowed
-        # drivers (repro.sim.parallel) read this to report true elapsed time.
-        self.last_event_time: float = 0.0
         self.tracer = tracer  # optional repro.obs.Tracer (process spans)
         # Consumed-through-index ascending Event entries; each event is
         # its own [time, priority, seq, fn] list.
@@ -356,7 +352,6 @@ class Engine:
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
-        ran_any = False
         try:
             s = self._sorted
             i = self._i
@@ -387,7 +382,6 @@ class Engine:
                     if take_ready:
                         _seq, proc, value = ready.popleft()
                         self._i = i
-                        ran_any = True
                         proc._step(value)
                         s = self._sorted
                         i = self._i
@@ -404,15 +398,12 @@ class Engine:
                 t = entry[0]
                 if until is not None and t > until:
                     self._i = i - 1  # leave the event queued
-                    if ran_any:
-                        self.last_event_time = now
                     self.now = until
                     return until
                 if t < now:
                     self._i = i - 1
                     raise SimulationError("event queue yielded time running backwards")
                 now = self.now = t
-                ran_any = True
                 # Drop the consumed prefix once it dominates the list so
                 # long runs don't hold every executed entry alive.
                 if i > 4096 and i * 2 > len(s):
@@ -423,8 +414,6 @@ class Engine:
                 # The callback may have compacted or folded the queue.
                 s = self._sorted
                 i = self._i
-            if ran_any:
-                self.last_event_time = self.now
         finally:
             self._running = False
         blocked = [p.name for p in self._processes if not p.finished]
@@ -481,28 +470,6 @@ class Engine:
             + len(self._ready)
             - self._cancelled
         )
-
-    @property
-    def next_event_time(self) -> float:
-        """Earliest time at which this engine could execute something.
-
-        ``inf`` when the queue is drained.  Conservative: a cancelled
-        event still buffered in ``_incoming`` may report a time nothing
-        will actually run at — harmless for windowed drivers, which
-        only need a deterministic lower bound.
-        """
-        if self._ready:
-            return self.now
-        t = self._inc_min_t
-        s = self._sorted
-        i = self._i
-        while i < len(s) and s[i][3] is None:  # skip cancelled entries
-            self._cancelled -= 1
-            i += 1
-        self._i = i
-        if i < len(s) and s[i][0] < t:
-            t = s[i][0]
-        return t
 
     @property
     def processes(self) -> list[Process]:

@@ -23,7 +23,6 @@ top of simulated point-to-point messages, so their cost emerges from
 the network model rather than being asserted.
 """
 
-from repro.sim.parallel import ParallelConfig
 from repro.vmpi.payload import VirtualPayload, payload_nbytes, snapshot
 from repro.vmpi.comm import ANY_SOURCE, ANY_TAG, MessageBoard, Request, Status
 from repro.vmpi.context import RankContext
@@ -31,7 +30,6 @@ from repro.vmpi.runner import MPIWorld, WorldResult
 from repro.vmpi.split import SubContext
 
 __all__ = [
-    "ParallelConfig",
     "VirtualPayload",
     "payload_nbytes",
     "snapshot",

@@ -66,20 +66,10 @@ def gi_barrier(ctx: Any) -> Generator:
     affordable inside a compositing phase (the puzzlepiece drain
     protocol), where a software barrier would cost more messages than
     the optimization saves.
-
-    Only the monolithic engine wires the shared interrupt line; the
-    sharded parallel backend would need a cross-shard rendezvous and
-    rejects the call cleanly instead of hanging.
     """
     from repro.sim.events import Future
 
     board = ctx.board
-    if not getattr(board, "gi_capable", False):
-        raise CommunicationError(
-            "gi_barrier requires the monolithic engine's global-interrupt "
-            "line; the sharded parallel backend does not wire it "
-            "(run without ParallelConfig)"
-        )
     st = getattr(board, "_gi_pending", None)
     if st is None:
         st = board._gi_pending = {"arrived": 0, "future": Future(name="gi_barrier")}

@@ -116,12 +116,6 @@ class _Delivery:
 class MessageBoard:
     """Per-rank mailboxes plus the wire (a :class:`DESNetwork`)."""
 
-    #: The monolithic board spans the whole world, so it can host the
-    #: global-interrupt barrier rendezvous (every rank checks in on the
-    #: same object).  Shard boards cover one shard only and override
-    #: this to False — see :func:`repro.vmpi.collectives.gi_barrier`.
-    gi_capable = True
-
     def __init__(self, network: DESNetwork, nprocs: int):
         self.network = network
         self.nprocs = int(nprocs)

@@ -92,7 +92,6 @@ class MPIWorld:
         ranks: Sequence[int] | None = None,
         check_leaks: bool = True,
         fault: Any = None,
-        parallel: Any = None,
         **kwargs: Any,
     ) -> WorldResult:
         """Run ``program`` SPMD on every rank (or the given subset).
@@ -103,21 +102,7 @@ class MPIWorld:
         *empty* plan is still installed (so its cost is measurable) but
         every hook short-circuits: results are bitwise identical to
         ``fault=None``.
-
-        ``parallel`` (a :class:`~repro.sim.parallel.ParallelConfig`)
-        selects the sharded conservative-parallel backend instead of
-        the monolithic engine; any worker count produces identical
-        results for a fixed shard count (see
-        :mod:`repro.vmpi.shardworld`).
         """
-        if parallel is not None:
-            from repro.vmpi.shardworld import run_parallel
-
-            return run_parallel(
-                self, program, args, kwargs,
-                ranks=ranks, check_leaks=check_leaks, fault=fault,
-                config=parallel,
-            )
         engine = Engine(tracer=self.tracer)
         network = DESNetwork(
             engine, self.topology, self.mapping, self.link, self.recv_overhead_s,

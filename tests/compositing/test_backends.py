@@ -23,7 +23,6 @@ from repro.render.decomposition import BlockDecomposition
 from repro.render.raycast import render_block
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
-from repro.sim.parallel import ParallelConfig
 from repro.utils.errors import ConfigError
 from repro.vmpi import MPIWorld
 
@@ -108,13 +107,6 @@ class TestValidation:
         dec = BlockDecomposition(GRID, 7)  # prime > k on one axis
         with pytest.raises(ConfigError, match="factor"):
             get_backend("radixk").validate(7, decomposition=dec)
-
-    def test_puzzlepiece_rejects_parallel_engine(self):
-        dec = BlockDecomposition(GRID, 8)
-        with pytest.raises(ConfigError, match="monolithic"):
-            get_backend("puzzlepiece").validate(
-                8, decomposition=dec, parallel=ParallelConfig(workers=2)
-            )
 
     def test_exact_backends_reject_error_budget(self):
         dec = BlockDecomposition(GRID, 8)

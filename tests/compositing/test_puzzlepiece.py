@@ -21,10 +21,7 @@ from repro.render.raycast import render_block
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
 from repro.vmpi import MPIWorld
-from repro.utils.errors import CommunicationError
 from repro.vmpi.collectives import GI_LATENCY_S
-from repro.vmpi.comm import MessageBoard
-from repro.vmpi.shardworld import ShardMessageBoard
 
 GRID = (16, 16, 16)
 W, H = 48, 40
@@ -155,22 +152,3 @@ class TestGIBarrier:
 
         res = MPIWorld.for_cores(4).run(program)
         assert all(v == pytest.approx(2 * GI_LATENCY_S) for v in res.values)
-
-    def test_gi_capability_flags(self):
-        # The monolithic board hosts the rendezvous; one shard of the
-        # sharded engine cannot, so puzzlepiece refuses ParallelConfig.
-        assert MessageBoard.gi_capable is True
-        assert ShardMessageBoard.gi_capable is False
-
-    def test_incapable_board_rejected(self):
-        class NoGI:
-            gi_capable = False
-
-        from repro.vmpi.collectives import gi_barrier
-
-        class FakeCtx:
-            board = NoGI()
-            size = 2
-
-        with pytest.raises(CommunicationError, match="global-interrupt"):
-            next(gi_barrier(FakeCtx()))

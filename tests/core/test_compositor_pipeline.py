@@ -4,7 +4,8 @@ The bitwise pins are the PR's non-regression contract: a zero-fault
 default (direct-send) frame must be byte-identical to the pre-registry
 pipeline — same pixels, same message totals, same stage seconds.  The
 hashes below were captured from the pipeline before the backend
-registry existed and verified identical after it.
+registry existed and verified identical after it; the stage seconds
+are compared exactly (``float.hex``).
 """
 
 import hashlib
@@ -20,15 +21,20 @@ from repro.utils.errors import ConfigError
 from repro.vmpi import MPIWorld
 
 #: (grid, cores, image, step) -> sha256 of the float32 RGBA frame,
-#: messages, bytes on the wire.  Captured pre-registry (see module doc).
+#: messages, bytes on the wire, and the simulated FrameTiming stage
+#: seconds (io, render, composite, total) as ``float.hex`` strings.
 PINNED = {
     (16, 8, 48, 0.8): (
         "6945790f215f2b2d72289550f2bab703a8039779d63e9ad6c8fa7f18c8540d45",
         69, 147216,
+        ("0x1.30ae64db7f713p+0", "0x1.bda5119ce0780p-7",
+         "0x1.417d5d0726700p-8", "0x1.356b2c5bc0589p+0"),
     ),
     (24, 16, 64, 0.7): (
         "aca1c761789ecbc440810e90a026a431ca9af1f06897589bf1d44b38cb07c0cd",
         181, 347440,
+        ("0x1.5e53b7bee19e3p+0", "0x1.8cf03deb1d1c0p-6",
+         "0x1.8aff520a3df80p-7", "0x1.679d775aa28e9p+0"),
     ),
 }
 
@@ -49,17 +55,20 @@ def render(grid, cores, image, step, **kwargs):
 class TestBitwisePins:
     @pytest.mark.parametrize("config", sorted(PINNED))
     def test_default_directsend_frame_is_frozen(self, config):
-        sha, messages, nbytes = PINNED[config]
+        sha, messages, nbytes, stages = PINNED[config]
         res = render(*config)
         assert res.compositor == "directsend"
         assert hashlib.sha256(res.image.tobytes()).hexdigest() == sha
         assert res.messages == messages
         assert res.bytes_sent == nbytes
+        t = res.timing
+        seconds = (t.io_s, t.render_s, t.composite_s, t.total_s)
+        assert tuple(float.hex(s) for s in seconds) == stages
 
     def test_dfb_reproduces_the_pinned_frame(self):
         """Same ownership map, same pixels — only the timing moves."""
         config = (16, 8, 48, 0.8)
-        sha, messages, nbytes = PINNED[config]
+        sha, messages, nbytes, _stages = PINNED[config]
         res = render(*config, compositor="dfb")
         assert hashlib.sha256(res.image.tobytes()).hexdigest() == sha
         assert res.messages == messages
@@ -67,7 +76,7 @@ class TestBitwisePins:
 
     def test_zero_budget_puzzlepiece_reproduces_the_pinned_frame(self):
         config = (16, 8, 48, 0.8)
-        sha, messages, _nbytes = PINNED[config]
+        sha, messages, _nbytes, _stages = PINNED[config]
         res = render(*config, compositor="puzzlepiece")
         assert hashlib.sha256(res.image.tobytes()).hexdigest() == sha
         assert res.messages == messages

@@ -21,7 +21,7 @@ from repro.fault import FaultPlan, IOStraggler, NodeCrash
 from repro.pio import IOHints, NetCDFHandle, RawHandle
 from repro.render import Camera, TransferFunction
 from repro.utils.errors import ConfigError
-from repro.vmpi import MPIWorld, ParallelConfig
+from repro.vmpi import MPIWorld
 
 GRID = (12, 12, 12)
 STEPS = 3
@@ -112,21 +112,6 @@ class TestBitwiseEquivalence:
             )
             assert_frames_identical(res, oracle)
             assert res.accounting_failures() == []
-
-    def test_with_parallel_engine(self, netcdf_handles):
-        """Coexists with the sharded conservative-parallel DES backend:
-        pipelined-sharded matches sequential-sharded bitwise (and both
-        match the serial engine's images pixel for pixel)."""
-        serial = _renderer()
-        sharded = _renderer(parallel=ParallelConfig(workers=2))
-        oracle = render_time_series(sharded, netcdf_handles, orbit_degrees_per_frame=20.0)
-        res = PipelinedTimeSeriesRenderer(sharded, prefetch_depth=1).render(
-            netcdf_handles, orbit_degrees_per_frame=20.0
-        )
-        assert_frames_identical(res, oracle)
-        serial_res = render_time_series(serial, netcdf_handles, orbit_degrees_per_frame=20.0)
-        for p, s in zip(res.frames, serial_res.frames):
-            assert np.array_equal(p.image, s.image)
 
     def test_camera_restored_after_campaign(self, netcdf_handles):
         renderer = _renderer()

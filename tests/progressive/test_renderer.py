@@ -11,37 +11,35 @@ from repro.pio import RawHandle
 from repro.progressive import ProgressiveRenderer, ladder_edges
 from repro.render import Camera, TransferFunction
 from repro.utils.errors import ConfigError
-from repro.vmpi import MPIWorld, ParallelConfig
+from repro.vmpi import MPIWorld
 
 GRID = (12, 12, 12)
 IMAGE = 24
 CORES = 8
 
 
-def make_renderer(compositor="directsend", workers=1, degrade=None):
+def make_renderer(compositor="directsend", degrade=None):
     model = SupernovaModel(GRID, seed=1530)
     handle = RawHandle(extract_variable_raw(model, "vx"))
     camera = Camera.looking_at_volume(GRID, width=IMAGE, height=IMAGE)
     tf = TransferFunction.supernova(*model.value_range("vx"))
-    parallel = ParallelConfig(workers=workers) if workers > 1 else None
     renderer = ParallelVolumeRenderer(
         MPIWorld.for_cores(CORES), camera, tf, step=0.8,
-        parallel=parallel, compositor=compositor, degrade=degrade,
+        compositor=compositor, degrade=degrade,
     )
     return renderer, handle, model.field("vx")
 
 
 class TestLadder:
     @pytest.mark.parametrize("compositor", ["directsend", "dfb"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_final_level_bitwise_identical_to_direct(self, compositor, workers):
+    def test_final_level_bitwise_identical_to_direct(self, compositor):
         """The oracle: the ladder's last level IS the direct render —
         image, stage timings, message count, bytes on the wire."""
-        renderer, handle, field = make_renderer(compositor, workers)
+        renderer, handle, field = make_renderer(compositor)
         ladder = ProgressiveRenderer(renderer, levels=3).render_ladder(
             handle, field=field
         )
-        oracle_renderer, oracle_handle, _ = make_renderer(compositor, workers)
+        oracle_renderer, oracle_handle, _ = make_renderer(compositor)
         direct = oracle_renderer.render_frame(oracle_handle)
         final = ladder.final
         assert final is not None

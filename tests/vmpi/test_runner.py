@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.compositing.schedule import schedule_from_geometry
+from repro.render.camera import Camera
+from repro.render.decomposition import BlockDecomposition
 from repro.utils.errors import ConfigError
 from repro.vmpi import MPIWorld, VirtualPayload
 
@@ -73,3 +76,36 @@ class TestWorld:
     def test_invalid_core_count(self):
         with pytest.raises(ConfigError):
             MPIWorld.for_cores(0)
+
+
+class TestSimulatedClockPin:
+    """An absolute simulated clock for a message-bound run.
+
+    A 512-rank, m = n direct-send exchange with virtual payloads (64^3
+    grid, 256^2 image).  The clock is compared exactly: any change to
+    engine ordering, endpoint serialization, or hop pricing moves it.
+    """
+
+    def test_directsend_512_exchange_is_frozen(self):
+        grid = (64, 64, 64)
+        sched = schedule_from_geometry(
+            BlockDecomposition(grid, 512),
+            Camera.looking_at_volume(grid, width=256, height=256),
+            512,
+        )
+
+        def program(ctx):
+            reqs = []
+            for msg in sched.outgoing(ctx.rank):
+                dest = sched.compositor_rank(msg.tile)
+                if dest != ctx.rank:
+                    reqs.append(ctx.isend(VirtualPayload(msg.nbytes), dest, 42))
+            incoming = [m for m in sched.incoming(ctx.rank) if m.src != ctx.rank]
+            for _ in incoming:
+                yield from ctx.recv(tag=42)
+            yield from ctx.waitall(reqs)
+
+        res = MPIWorld.for_cores(512).run(program)
+        assert float.hex(res.elapsed_s) == "0x1.fa73cc7defed4p-10"
+        assert res.messages == 9910
+        assert res.bytes_sent == 13312272
