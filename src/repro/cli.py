@@ -7,7 +7,7 @@ The commands cover the tour a new user takes:
 * ``trace``     — render one frame with tracing on and write a Chrome
   ``trace_event`` JSON plus the paper-style per-rank stage report.
 * ``timeseries`` — render a camera-orbit animation over several time
-  steps with depth-k prefetched collective I/O, print the overlap
+  steps with double-buffered collective I/O, print the overlap
   books (sequential vs pipelined makespan), and optionally verify the
   frames bitwise against the sequential oracle (``--check``).
 * ``progressive`` — render one request as a coarse-to-fine resolution
@@ -112,11 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ts.add_argument(
         "--orbit-degrees", type=float, default=15.0, metavar="DEG",
         help="camera azimuth advance per frame (default 15; 0 = fixed camera)",
-    )
-    p_ts.add_argument(
-        "--prefetch-depth", type=int, default=1, metavar="K",
-        help="time steps of I/O kept in flight beyond the rendering frame "
-        "(0 = sequential; default 1)",
     )
     p_ts.add_argument(
         "--discipline", default="fifo", choices=("fifo", "fair"),
@@ -443,9 +438,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
         hints=IOHints(cb_buffer_size=1 << 17, cb_nodes=max(args.cores // 4, 1)),
         compositor=args.compositor,
     )
-    pipelined = PipelinedTimeSeriesRenderer(
-        renderer, prefetch_depth=args.prefetch_depth, discipline=args.discipline
-    )
+    pipelined = PipelinedTimeSeriesRenderer(renderer, discipline=args.discipline)
     result = pipelined.render(handles, orbit_degrees_per_frame=args.orbit_degrees)
 
     failures = result.accounting_failures()
@@ -465,8 +458,8 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
 
     print(
         f"{args.steps} frames ({args.grid}^3 {args.format}, {args.cores} cores, "
-        f"orbit {args.orbit_degrees:g} deg/frame), prefetch depth "
-        f"{args.prefetch_depth}, {args.discipline} contention"
+        f"orbit {args.orbit_degrees:g} deg/frame), double-buffered, "
+        f"{args.discipline} contention"
     )
     print(f"  {'frame':>5} {'io':>10} {'render+comp':>12} {'read wait':>10}")
     for slot, frame in zip(result.timeline.slots, result.frames):

@@ -1,18 +1,24 @@
 """Sort-last image compositing (Sec. III-B3 of the paper).
 
+The backend registry (:func:`get_backend`) is the package's one
+compositing entry point: every frame — post-hoc, time-series, farm,
+progressive, and in-situ — composites through
+:meth:`CompositingBackend.compose`.  The algorithm modules below hold
+the per-scheme communication patterns the backends drive; their free
+functions are not re-exported here.
+
 * :mod:`repro.compositing.tiles` — the final image divided into tiles,
   one per compositor.
 * :mod:`repro.compositing.schedule` — the static message schedule:
   which renderer sends which footprint piece to which compositor.
   "The number of compositors is known at initialization time, and the
   schedule of messages is built around this number from the beginning."
-* :mod:`repro.compositing.directsend` — direct-send compositing with
-  the paper's key generalization: n renderers, m <= n compositors.
 * :mod:`repro.compositing.policy` — how m is chosen from n, including
   the paper's empirical schedule (1K compositors for 1K-4K renderers,
   2K beyond).
-* :mod:`repro.compositing.backends` — the pluggable backend registry
-  every consumer (pipeline, CLI, farm, benches) dispatches through.
+* :mod:`repro.compositing.backends` — the backend registry.
+* :mod:`repro.compositing.directsend` — direct-send compositing with
+  the paper's key generalization: n renderers, m <= n compositors.
 * :mod:`repro.compositing.dfb` — Distributed FrameBuffer: streamed
   tile routing that overlaps compositing with the ray-march.
 * :mod:`repro.compositing.puzzlepiece` — approximate compositing with
@@ -35,17 +41,8 @@ from repro.compositing.schedule import (
     schedule_from_geometry,
 )
 from repro.compositing.policy import CompositorPolicy, PAPER_POLICY, IDENTITY_POLICY
-from repro.compositing.directsend import (
-    assemble_final_image,
-    assemble_tiles,
-    direct_send_compose,
-    direct_send_compose_failover,
-)
-from repro.compositing.binaryswap import binary_swap_compose
-from repro.compositing.radixk import radix_k_compose, radix_k_gather, default_radices
-from repro.compositing.serial import serial_compose
-from repro.compositing.dfb import dfb_compose, dfb_compose_failover
-from repro.compositing.puzzlepiece import puzzlepiece_compose, puzzle_thresholds
+from repro.compositing.radixk import default_radices
+from repro.compositing.puzzlepiece import puzzle_thresholds
 from repro.compositing.backends import (
     ComposeRequest,
     CompositingBackend,
@@ -60,9 +57,6 @@ __all__ = [
     "backend_names",
     "get_backend",
     "register_backend",
-    "dfb_compose",
-    "dfb_compose_failover",
-    "puzzlepiece_compose",
     "puzzle_thresholds",
     "TileDecomposition",
     "CompositeMessage",
@@ -74,13 +68,5 @@ __all__ = [
     "CompositorPolicy",
     "PAPER_POLICY",
     "IDENTITY_POLICY",
-    "direct_send_compose",
-    "direct_send_compose_failover",
-    "assemble_final_image",
-    "assemble_tiles",
-    "binary_swap_compose",
-    "radix_k_compose",
-    "radix_k_gather",
     "default_radices",
-    "serial_compose",
 ]

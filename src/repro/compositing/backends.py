@@ -1,14 +1,16 @@
 """The compositing backend registry: one abstraction, six algorithms.
 
-Everything that composites a frame — the core pipeline, ``repro render
---compositor``, the farm's execute backend, and the shootout benches —
-dispatches through this registry instead of hard-wiring direct-send.
-A backend owns the *timed* part of a rank's frame after the partial
-image exists numerically: it charges the priced render seconds (so
-overlapping schemes can interleave sends with the march), runs its
-communication pattern, records the ``render``/``composite`` stage
-spans every path shares, and says how the per-rank return values
-become the frame.
+Everything that composites a frame — the core pipeline's frame tail
+(post-hoc and in-situ frames alike), ``repro render --compositor``,
+the farm's execute backend, and the shootout benches — dispatches
+through this registry; it is the only caller of the algorithm
+functions in the sibling modules.  A backend owns the *timed* part of
+a rank's frame after the partial image exists numerically: the base
+:meth:`CompositingBackend.compose` charges the priced render seconds,
+runs the backend's :meth:`~CompositingBackend.exchange`, and records
+the ``render``/``composite`` stage spans every path shares (DFB
+overrides it to interleave sends with the march); each backend also
+says how the per-rank return values become the frame.
 
 The contract that keeps the default path bitwise frozen: the
 direct-send backend performs *exactly* the engine-event sequence the
@@ -25,7 +27,7 @@ name              exact  failover  notes
 ``dfb``           yes    yes       Distributed FrameBuffer: streamed
                                    tiles overlap compositing with render
 ``puzzlepiece``   no*    no        bounded-error drops; * exact at
-                                   ``error_budget=0``; monolithic engine
+                                   ``error_budget=0``
 ``binaryswap``    yes    no        kd-ordered pairwise halving (pow2)
 ``radixk``        yes    no        grouped rounds, radix <= k
 ``serial``        yes    no        gather-to-root oracle
@@ -101,13 +103,39 @@ class CompositingBackend:
             )
 
     def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        """One rank's render-charge + compositing phase (a generator)."""
+        """One rank's render charge, then its compositing exchange.
+
+        Charges the priced render seconds as one compute, runs
+        :meth:`exchange`, and records the ``render`` and ``composite``
+        stage spans around the two.  Backends that interleave rendering
+        with their exchange (DFB) override this instead.
+        """
+        tr = ctx.tracer
+        t_io = ctx.now
+        yield from ctx.compute(req.render_seconds)
+        t_render = ctx.now
+        if tr is not None:
+            tr.stage(ctx.rank, "render", t_io, t_render)
+        out = yield from self.exchange(ctx, req)
+        if tr is not None:
+            tr.stage(ctx.rank, "composite", t_render, ctx.now)
+        return out
+
+    def exchange(self, ctx: Any, req: ComposeRequest) -> Generator:
+        """This backend's compositing communication (a generator)."""
         raise NotImplementedError
 
     def finalize(
         self, values: list[Any], camera: Camera, failover: bool = False
     ) -> tuple[np.ndarray, dict | None]:
-        """Per-rank return values -> (frame image, compose stats)."""
+        """Per-rank return values -> (frame image, compose stats).
+
+        Rank 0 holds the gathered canvas, except under failover, where
+        rank 0 may be dead: each survivor returns its owned tiles and
+        the frame is assembled host-side.
+        """
+        if failover:
+            return assemble_tiles(values, camera.width, camera.height), None
         return values[0], None
 
 
@@ -117,28 +145,13 @@ class DirectSendBackend(CompositingBackend):
     name = "directsend"
     supports_failover = True
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
+    def exchange(self, ctx: Any, req: ComposeRequest) -> Generator:
         if req.failover:
-            owned = yield from direct_send_compose_failover(ctx, req.partial, req.schedule)
-            if tr is not None:
-                tr.stage(ctx.rank, "composite", t_render, ctx.now)
-            return owned
+            return (yield from direct_send_compose_failover(
+                ctx, req.partial, req.schedule
+            ))
         tile = yield from direct_send_compose(ctx, req.partial, req.schedule)
-        final = yield from assemble_final_image(ctx, tile, req.schedule, root=0)
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
-
-    def finalize(self, values, camera, failover=False):
-        if failover:
-            return assemble_tiles(values, camera.width, camera.height), None
-        return values[0], None
+        return (yield from assemble_final_image(ctx, tile, req.schedule, root=0))
 
 
 class DFBBackend(CompositingBackend):
@@ -158,11 +171,6 @@ class DFBBackend(CompositingBackend):
             ctx, req.partial, req.schedule, req.render_seconds
         ))
 
-    def finalize(self, values, camera, failover=False):
-        if failover:
-            return assemble_tiles(values, camera.width, camera.height), None
-        return values[0], None
-
 
 class PuzzlepieceBackend(CompositingBackend):
     """Approximate puzzlepiece: bounded-error sender-side drops."""
@@ -171,19 +179,10 @@ class PuzzlepieceBackend(CompositingBackend):
     exact = False  # exact only at error_budget == 0
     supports_error_budget = True
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
-        out = yield from puzzlepiece_compose(
+    def exchange(self, ctx: Any, req: ComposeRequest) -> Generator:
+        return (yield from puzzlepiece_compose(
             ctx, req.partial, req.schedule, error_budget=req.error_budget
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return out
+        ))
 
     def finalize(self, values, camera, failover=False):
         image = values[0][0] if values and values[0] is not None else None
@@ -234,22 +233,13 @@ class BinarySwapBackend(CompositingBackend):
                     f"grid; axis {d} extent is {extent}"
                 )
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
+    def exchange(self, ctx: Any, req: ComposeRequest) -> Generator:
         region, image = yield from binary_swap_compose(
             ctx, req.partial, req.decomposition, req.camera
         )
-        final = yield from binary_swap_gather(
+        return (yield from binary_swap_gather(
             ctx, region, image, req.camera.width, req.camera.height, root=0
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
+        ))
 
 
 class RadixKBackend(CompositingBackend):
@@ -265,22 +255,13 @@ class RadixKBackend(CompositingBackend):
         for extent in grid:
             default_radices(extent, self.k)  # raises ConfigError if unfactorable
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
+    def exchange(self, ctx: Any, req: ComposeRequest) -> Generator:
         region, image = yield from radix_k_compose(
             ctx, req.partial, req.decomposition, req.camera, k=self.k
         )
-        final = yield from radix_k_gather(
+        return (yield from radix_k_gather(
             ctx, region, image, req.camera.width, req.camera.height, root=0
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
+        ))
 
 
 class SerialBackend(CompositingBackend):
@@ -288,19 +269,10 @@ class SerialBackend(CompositingBackend):
 
     name = "serial"
 
-    def compose(self, ctx: Any, req: ComposeRequest) -> Generator:
-        tr = ctx.tracer
-        t_io = ctx.now
-        yield from ctx.compute(req.render_seconds)
-        t_render = ctx.now
-        if tr is not None:
-            tr.stage(ctx.rank, "render", t_io, t_render)
-        final = yield from serial_compose(
+    def exchange(self, ctx: Any, req: ComposeRequest) -> Generator:
+        return (yield from serial_compose(
             ctx, req.partial, req.camera.width, req.camera.height, root=0
-        )
-        if tr is not None:
-            tr.stage(ctx.rank, "composite", t_render, ctx.now)
-        return final
+        ))
 
 
 _REGISTRY: dict[str, CompositingBackend] = {}

@@ -23,7 +23,7 @@ import numpy as np
 from repro.compositing.backends import ComposeRequest, get_backend
 from repro.compositing.policy import PAPER_POLICY, CompositorPolicy
 from repro.compositing.schedule import CompositeSchedule
-from repro.core.plan import FramePlanCache
+from repro.core.plan import FramePlan, FramePlanCache
 from repro.core.timing import FrameTiming
 from repro.model.constants import DEFAULT_CONSTANTS, ModelConstants
 from repro.model.io import IOTimeModel
@@ -31,7 +31,6 @@ from repro.obs.tracer import CAT_FAULT, Tracer
 from repro.pio.hints import IOHints
 from repro.pio.reader import DatasetHandle, IOReport, collective_read_blocks
 from repro.render.camera import Camera
-from repro.render.decomposition import BlockDecomposition
 from repro.render.raycast import render_block
 from repro.render.transfer import TransferFunction
 from repro.render.volume import VolumeBlock
@@ -170,9 +169,6 @@ class ParallelVolumeRenderer:
         plan = self.plan_cache.plan_for(
             self.camera, grid, nprocs, self.step, self.ghost, self.ghost_mode, m
         )
-        decomposition = plan.decomposition
-        ghost_specs = plan.ghost_specs
-        schedule = plan.schedule
 
         # --- Stage 1 (functional part): the collective read.  In 'io'
         # mode blocks are read with their ghost layer (overlapping
@@ -250,27 +246,23 @@ class ParallelVolumeRenderer:
                 plan = self.plan_cache.plan_for(
                     camera, grid, nprocs, self.step, self.ghost, self.ghost_mode, m
                 )
-                schedule = plan.schedule
 
         self.backend.validate(
             nprocs,
-            decomposition=decomposition,
+            decomposition=plan.decomposition,
             failover=failover,
             error_budget=error_budget,
         )
         result = self.world.run(
             _frame_program,
             arrays,
-            ghost_specs,
-            decomposition,
+            plan,
             camera,
             self.transfer,
             self.step,
-            schedule,
             io_seconds,
             render_rate,
             self.ghost,
-            plan.ray_plans,
             io_delays=io_delays,
             early_termination=early_termination,
             failover=failover,
@@ -297,7 +289,7 @@ class ParallelVolumeRenderer:
             image=image,
             timing=timing,
             io_report=report,
-            schedule=schedule,
+            schedule=plan.schedule,
             num_compositors=m,
             messages=result.messages,
             bytes_sent=result.bytes_sent,
@@ -312,16 +304,13 @@ class ParallelVolumeRenderer:
 def _frame_program(
     ctx: Any,
     arrays: list[np.ndarray],
-    ghost_specs: list | None,
-    decomposition: BlockDecomposition,
+    plan: FramePlan,
     camera: Camera,
     transfer: TransferFunction,
     step: float,
-    schedule: CompositeSchedule,
     io_seconds: float,
     render_rate: float,
     ghost: int,
-    ray_plans: list | None = None,
     io_delays: dict | None = None,
     early_termination: float | None = None,
     failover: bool = False,
@@ -330,17 +319,12 @@ def _frame_program(
 ):
     """One rank's frame: the three sequential stages of Sec. III-B.
 
+    Stage 1 (collective I/O, storage stragglers, ghost layers) is this
+    function's; stages 2 and 3 are the shared :func:`frame_tail`.
     Stage boundaries are recorded as tracer spans (one ``io``,
     ``render``, ``composite`` span per rank); :class:`FrameTiming` and
     the trace reports both derive from them, so there is exactly one
     timing record per frame.
-
-    The render-time charge and the compositing phase belong to the
-    compositing backend: overlapping schemes like the Distributed
-    FrameBuffer interleave the two, so the split is theirs to make.
-    The direct-send backend reproduces the exact
-    pre-registry event sequence — one render compute, the fan-out, the
-    root gather — keeping default frames bitwise frozen.
     """
     from repro.render.ghost import ghost_exchange
 
@@ -359,29 +343,60 @@ def _frame_program(
             if tr is not None and tr.enabled:
                 tr.span(ctx.rank, "io.straggler", CAT_FAULT,
                         t_straggle, ctx.now, delay_s=extra)
-    if ghost_specs is None:
+    if plan.ghost_specs is None:
         # Halo exchange counts toward the I/O stage: it finishes the
         # data distribution the collective read started.
         padded, gl = yield from ghost_exchange(
-            ctx, arrays[ctx.rank], decomposition, ghost
+            ctx, arrays[ctx.rank], plan.decomposition, ghost
         )
     else:
-        _rs, _rc, gl = ghost_specs[ctx.rank]
+        _rs, _rc, gl = plan.ghost_specs[ctx.rank]
         padded = arrays[ctx.rank]
-    t_io = ctx.now
     if tr is not None:
-        tr.stage(ctx.rank, "io", t0, t_io)
+        tr.stage(ctx.rank, "io", t0, ctx.now)
+    return (yield from frame_tail(
+        ctx, plan, padded, gl, camera, transfer, step, render_rate,
+        compositor=compositor, early_termination=early_termination,
+        failover=failover, error_budget=error_budget,
+    ))
 
-    # Stage 2: local ray casting — no communication (Sec. III-B2).
+
+def frame_tail(
+    ctx: Any,
+    plan: FramePlan,
+    padded: np.ndarray,
+    ghost_lo: tuple[int, int, int],
+    camera: Camera,
+    transfer: TransferFunction,
+    step: float,
+    render_rate: float,
+    compositor: str = "directsend",
+    early_termination: float | None = None,
+    failover: bool = False,
+    error_budget: float = 0.0,
+):
+    """Stages 2 and 3 of one rank's frame, from resident block data.
+
+    ``padded`` is the rank's block of ``plan.decomposition`` with its
+    ghost layer (``ghost_lo`` cells on the low faces).  The block is
+    ray-cast through the plan's cached ray geometry — no communication
+    (Sec. III-B2) — and the compositing backend named ``compositor``
+    charges the priced render seconds and runs its exchange on the
+    torus, recording the ``render``/``composite`` spans.  Post-hoc
+    frames reach this after the collective read; in-situ frames after
+    the solver's halo exchange.  The rank's return value is whatever
+    the backend's ``finalize`` expects.
+    """
+    decomposition = plan.decomposition
     block = decomposition.block(ctx.rank)
     vb = VolumeBlock(
         padded,
         decomposition.grid_shape,  # type: ignore[arg-type]
         block.start,
         block.count,
-        gl,
+        ghost_lo,
     )
-    ray_plan = ray_plans[ctx.rank] if ray_plans is not None else None
+    ray_plan = plan.ray_plans[ctx.rank]
     if early_termination is None:
         partial = render_block(camera, vb, transfer, step, plan=ray_plan)
     else:
@@ -391,18 +406,13 @@ def _frame_program(
             early_termination=early_termination, plan=ray_plan,
         )
     samples = partial.samples if partial is not None else 0
-
-    # Stages 2 (timed part) + 3: the compositing backend charges the
-    # priced render seconds and runs its communication pattern (real
-    # messages on the torus), recording the render/composite spans.
-    backend = get_backend(compositor)
     req = ComposeRequest(
         partial=partial,
-        schedule=schedule,
+        schedule=plan.schedule,
         decomposition=decomposition,
         camera=camera,
         render_seconds=samples / render_rate,
         error_budget=error_budget,
         failover=failover,
     )
-    return (yield from backend.compose(ctx, req))
+    return (yield from get_backend(compositor).compose(ctx, req))

@@ -11,7 +11,7 @@ Two campaign drivers share one result type:
 * :func:`render_time_series` — the sequential oracle: read, render,
   composite, repeat.  Campaign elapsed time is the plain sum of every
   frame's stages.
-* :class:`PipelinedTimeSeriesRenderer` — software pipelining across
+* :class:`PipelinedTimeSeriesRenderer` — double buffering across
   frames: while frame t renders and composites, the collective read
   for timestep t+1 (already planned, priced, and issued through the
   async split in :mod:`repro.pio.reader`) is in flight, so campaign
@@ -19,10 +19,13 @@ Two campaign drivers share one result type:
   of their sum.  The *functional* data path is unchanged — each frame
   still renders through :meth:`ParallelVolumeRenderer.render_frame`
   with exactly the bytes the sequential path would read — so images
-  stay bitwise identical to the oracle at every ``prefetch_depth``;
-  only the campaign *clock* composition differs, computed by
-  :func:`simulate_pipeline` on its own discrete-event engine (the
-  per-frame SPMD runs keep theirs).
+  stay bitwise identical to the oracle; only the campaign *clock*
+  composition differs, computed by :func:`simulate_pipeline` on its
+  own discrete-event engine (the per-frame SPMD runs keep theirs).
+
+The buffer count is fixed at two: on every committed campaign a deeper
+prefetch gives a bitwise-equal makespan, because the one storage
+station serializes the reads (DESIGN.md §15).
 
 Overlapped reads are not priced in isolation: every read's priced
 demand is served through a
@@ -76,7 +79,6 @@ class PipelineTimeline:
     """The simulated campaign schedule one pipelined run produced."""
 
     slots: list[FrameSlot]
-    prefetch_depth: int
     discipline: str
 
     @property
@@ -126,36 +128,32 @@ class PipelineTimeline:
 def simulate_pipeline(
     io_seconds: Sequence[float],
     compute_seconds: Sequence[float],
-    prefetch_depth: int = 1,
     discipline: str = "fifo",
 ) -> PipelineTimeline:
-    """Schedule a depth-k prefetch pipeline over per-frame stage costs.
+    """Schedule a double-buffered pipeline over per-frame stage costs.
 
-    ``prefetch_depth`` is the number of timesteps that may be read
-    *ahead of* the frame currently computing (k+1 volume buffers); 0
-    reproduces the sequential schedule exactly.  The read for frame j
-    is gated on frame j-k-1 releasing its buffer, every read's priced
-    demand is served through a :class:`SharedStorageStation` under
-    ``discipline``, and frame j's compute starts once both its read and
-    frame j-1's compute are done.  Deterministic — the same inputs give
-    bitwise the same timeline — and shared by the core campaign driver
-    and the farm's campaign job pricing, so both tiers answer "what
-    does overlap buy" with one model.
+    One timestep may be read *ahead of* the frame currently computing
+    (two volume buffers): the read for frame j is gated on frame j-2
+    releasing its buffer, every read's priced demand is served through
+    a :class:`SharedStorageStation` under ``discipline``, and frame j's
+    compute starts once both its read and frame j-1's compute are
+    done.  Deterministic — the same inputs give bitwise the same
+    timeline — and shared by the core campaign driver and the farm's
+    campaign job pricing, so both tiers answer "what does overlap buy"
+    with one model.
     """
     if len(io_seconds) != len(compute_seconds):
         raise ConfigError(
             f"stage cost lists disagree: {len(io_seconds)} io vs "
             f"{len(compute_seconds)} compute entries"
         )
-    if prefetch_depth < 0:
-        raise ConfigError(f"prefetch_depth must be >= 0, got {prefetch_depth}")
     if discipline not in DISCIPLINES:
         raise ConfigError(
             f"unknown contention discipline {discipline!r}; choose from {DISCIPLINES}"
         )
     n = len(io_seconds)
     if n == 0:
-        return PipelineTimeline([], prefetch_depth, discipline)
+        return PipelineTimeline([], discipline)
 
     engine = Engine()
     station = SharedStorageStation(engine, discipline)
@@ -165,7 +163,7 @@ def simulate_pipeline(
     compute_end = [0.0] * n
 
     def prefetcher(j: int):
-        gate = j - prefetch_depth - 1
+        gate = j - 2
         if gate >= 0:
             yield buffer_free[gate]
         svc = yield station.submit(float(io_seconds[j]))
@@ -200,7 +198,7 @@ def simulate_pipeline(
         )
         for i, svc in enumerate(station.services)
     ]
-    return PipelineTimeline(slots, prefetch_depth, discipline)
+    return PipelineTimeline(slots, discipline)
 
 
 def campaign_trace(timeline: PipelineTimeline) -> Tracer:
@@ -216,7 +214,7 @@ def campaign_trace(timeline: PipelineTimeline) -> Tracer:
             IO_LANE, f"read[{s.index}]", CAT_PREFETCH,
             s.read_start_s, s.read_done_s,
             demand_s=s.io_demand_s, wait_s=s.read_wait_s,
-            issue_s=s.read_issue_s, depth=timeline.prefetch_depth,
+            issue_s=s.read_issue_s,
         )
         tracer.span(
             COMPUTE_LANE, f"frame[{s.index}]", CAT_PREFETCH,
@@ -241,7 +239,6 @@ class TimeSeriesResult:
     """
 
     frames: list[FrameResult]
-    prefetch_depth: int = 0
     timeline: PipelineTimeline | None = None
     campaign_trace: Tracer | None = field(default=None, repr=False)
 
@@ -273,7 +270,7 @@ class TimeSeriesResult:
 
     @property
     def overlap_saved_s(self) -> float:
-        """Simulated seconds the prefetch pipeline saved vs sequential."""
+        """Simulated seconds double buffering saved vs sequential."""
         return self.sequential_s - self.makespan_s
 
     @property
@@ -390,35 +387,30 @@ def render_time_series(
 
 
 class PipelinedTimeSeriesRenderer:
-    """Depth-k prefetched campaigns over one configured renderer.
+    """Double-buffered campaigns over one configured renderer.
 
-    ``prefetch_depth`` timesteps may be in flight beyond the frame
-    currently rendering (0 = sequential buffering; 1 = the classic
-    double buffer).  Frames are produced through the *same*
+    The next timestep's read is in flight while the current frame
+    renders.  Frames are produced through the *same*
     :meth:`ParallelVolumeRenderer.render_frame` as the sequential
     oracle — the prefetch only moves the collective read's plan/issue
     ahead via :func:`collective_read_blocks_async`, handing each frame
     the bytes it would have read inline — so images, per-frame timings,
-    message counts, and fault behavior are bitwise identical at every
-    depth.  The campaign clock is then composed by
+    message counts, and fault behavior are bitwise identical to the
+    oracle.  The campaign clock is then composed by
     :func:`simulate_pipeline` with honest concurrent-read contention.
     """
 
     def __init__(
         self,
         renderer: ParallelVolumeRenderer,
-        prefetch_depth: int = 1,
         discipline: str = "fifo",
     ):
-        if prefetch_depth < 0:
-            raise ConfigError(f"prefetch_depth must be >= 0, got {prefetch_depth}")
         if discipline not in DISCIPLINES:
             raise ConfigError(
                 f"unknown contention discipline {discipline!r}; "
                 f"choose from {DISCIPLINES}"
             )
         self.renderer = renderer
-        self.prefetch_depth = int(prefetch_depth)
         self.discipline = discipline
 
     def render(
@@ -428,12 +420,12 @@ class PipelinedTimeSeriesRenderer:
         camera_factory: Callable[[int], Camera] | None = None,
         log=None,
     ) -> TimeSeriesResult:
-        """Render the campaign with depth-k prefetch; returns frames + timeline.
+        """Render the double-buffered campaign; returns frames + timeline.
 
         ``log`` (an :class:`~repro.storage.accesslog.AccessLog`)
         records accesses in *prefetch issue order* — under overlap the
-        reads for t+1..t+k land before frame t's straggler records,
-        which is the pipelined order of events.
+        read for t+1 lands before frame t's straggler records, which is
+        the pipelined order of events.
         """
         if not handles:
             raise ConfigError("no time steps to render")
@@ -469,9 +461,9 @@ class PipelinedTimeSeriesRenderer:
 
         try:
             for i in range(n):
-                # Keep i..i+depth in flight, issued in frame order.
-                for j in range(i, min(i + self.prefetch_depth, n - 1) + 1):
-                    issue(j)
+                # Keep frames i and i+1 in flight, issued in frame order.
+                issue(i)
+                issue(i + 1)
                 renderer.camera = cameras[i]
                 frames.append(
                     renderer.render_frame(handles[i], log=log, preread=pending.pop(i))
@@ -482,12 +474,10 @@ class PipelinedTimeSeriesRenderer:
         timeline = simulate_pipeline(
             [f.timing.io_s for f in frames],
             [f.timing.render_s + f.timing.composite_s for f in frames],
-            self.prefetch_depth,
             self.discipline,
         )
         return TimeSeriesResult(
             frames,
-            prefetch_depth=self.prefetch_depth,
             timeline=timeline,
             campaign_trace=campaign_trace(timeline),
         )

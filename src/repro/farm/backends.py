@@ -49,7 +49,6 @@ class CampaignPayload:
     """
 
     frames: int
-    prefetch_depth: int
     sequential_s: float  # no-overlap campaign time (stage sums)
     makespan_s: float  # pipelined campaign wall clock
     detail: Any = field(default=None, repr=False)
@@ -195,13 +194,9 @@ class ModelBackend:
 
             io = est.io.seconds
             rc = est.render.seconds + est.composite.seconds
-            timeline = simulate_pipeline(
-                [io] * request.frames, [rc] * request.frames,
-                request.prefetch_depth,
-            )
+            timeline = simulate_pipeline([io] * request.frames, [rc] * request.frames)
             payload = CampaignPayload(
                 frames=request.frames,
-                prefetch_depth=request.prefetch_depth,
                 sequential_s=request.frames * (io + rc),
                 makespan_s=timeline.makespan_s,
                 detail=est,
@@ -343,12 +338,11 @@ class ExecuteBackend:
                     elevation_deg=request.elevation_deg,
                 )
 
-            campaign = PipelinedTimeSeriesRenderer(
-                renderer, prefetch_depth=request.prefetch_depth
-            ).render([handle] * request.frames, camera_factory=orbit_camera)
+            campaign = PipelinedTimeSeriesRenderer(renderer).render(
+                [handle] * request.frames, camera_factory=orbit_camera
+            )
             payload = CampaignPayload(
                 frames=request.frames,
-                prefetch_depth=request.prefetch_depth,
                 sequential_s=campaign.sequential_s,
                 makespan_s=campaign.makespan_s,
                 detail=campaign.images,

@@ -26,7 +26,7 @@ class FrameRequest:
     A *campaign* request (``frames > 1``) asks for a whole pipelined
     animation in one submission — ``frames`` camera-orbit frames
     starting at ``azimuth_deg`` and advancing ``orbit_deg`` per frame,
-    rendered with depth-``prefetch_depth`` I/O prefetch.  It moves
+    rendered with double-buffered I/O prefetch.  It moves
     through the service tier as one job: one queue slot, one partition,
     one payload (all the frames).
     """
@@ -44,7 +44,6 @@ class FrameRequest:
     tier: str = "standard"  # tenant class for admission control
     frames: int = 1  # >1: a pipelined campaign (orbit animation) job
     orbit_deg: float = 0.0  # campaign azimuth advance per frame
-    prefetch_depth: int = 1  # campaign I/O prefetch depth
     levels: int = 1  # >1: a progressive ladder (coarse-first refinement)
     cancel_after_s: float | None = None  # viewer's camera move, relative to serve start
 
@@ -69,9 +68,7 @@ class FrameRequest:
         generators cannot split logically identical frames across cache
         entries.  A campaign's key additionally carries its frame count
         and orbit step — the delivered payload is every frame of the
-        animation, so only an identical animation may share it.  The
-        prefetch depth is deliberately *not* part of the key: it
-        changes when the frames are ready, never what they contain.
+        animation, so only an identical animation may share it.
         """
         key = (
             self.dataset,

@@ -201,17 +201,14 @@ class FarmResult:
         served = [r for r in recs if r.serve_s > 0]
         fps = [r.request.frames / r.serve_s for r in served]
         saved = 0.0
-        depths = set()
         for r in recs:
             p = r.payload
             if p is not None and hasattr(p, "overlap_saved_s"):
                 saved += float(p.overlap_saved_s)
-                depths.add(int(p.prefetch_depth))
         return {
             "campaigns": len(recs),
             "frames": self.campaign_frames,
             "rendered": len(served),
-            "prefetch_depths": sorted(depths),
             "frames_per_s": {
                 "mean": float(np.mean(fps)) if fps else 0.0,
                 "min": float(np.min(fps)) if fps else 0.0,

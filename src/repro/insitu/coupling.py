@@ -3,11 +3,11 @@
 One SPMD program owns both codes.  Each iteration: halo exchange, one
 solver step (priced at the node's flop rate), and — every
 ``render_every`` steps — a rendered frame straight from the resident
-blocks: ray cast, direct-send, done.  No bytes touch storage.
-
-``posthoc_io_cost`` prices what the paper's workflow would have paid
-instead: write the time step collectively, read it back for
-visualization — using the same I/O models the Fig. 3/7 benches use.
+blocks: a fresh halo exchange, then the same frame tail post-hoc
+frames run (:func:`repro.core.pipeline.frame_tail`: ray cast through
+the cached frame plan, direct-send through the backend registry).  No
+bytes touch storage.  ``repro insitu`` and the future-work bench price
+what the paper's store-then-read workflow would have paid instead.
 """
 
 from __future__ import annotations
@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compositing.directsend import assemble_final_image, direct_send_compose
 from repro.compositing.policy import PAPER_POLICY, CompositorPolicy
-from repro.compositing.schedule import schedule_from_geometry
-from repro.core.timing import FrameTiming
+from repro.core.pipeline import frame_tail
+from repro.core.plan import FramePlanCache
 from repro.insitu.simulation import AdvectionDiffusionSim
 from repro.machine.specs import NodeSpec
 from repro.model.constants import DEFAULT_CONSTANTS, ModelConstants
 from repro.render.camera import Camera
-from repro.render.decomposition import BlockDecomposition
 from repro.render.ghost import ghost_exchange
-from repro.render.raycast import render_block
 from repro.render.transfer import TransferFunction
-from repro.render.volume import VolumeBlock
 from repro.utils.errors import ConfigError
 from repro.vmpi.runner import MPIWorld
 
@@ -71,7 +67,7 @@ class InSituPipeline:
         self.policy = policy
         self.constants = constants
         self.node = node or NodeSpec()
-        self.decomposition = BlockDecomposition(sim.grid_shape, world.nprocs)
+        self.plan_cache = FramePlanCache()
 
     def run(self, initial: np.ndarray, steps: int, render_every: int = 1) -> InSituResult:
         """Advance ``steps``; render every ``render_every``-th state."""
@@ -81,9 +77,14 @@ class InSituPipeline:
             raise ConfigError(
                 f"initial field {initial.shape} != grid {self.sim.grid_shape}"
             )
-        dec = self.decomposition
-        m = self.policy.compositors_for(self.world.nprocs)
-        schedule = schedule_from_geometry(dec, self.camera, m)
+        nprocs = self.world.nprocs
+        # Exact blocks plus a one-cell halo exchanged in the program:
+        # the frame plan of a post-hoc frame in 'exchange' ghost mode.
+        plan = self.plan_cache.plan_for(
+            self.camera, self.sim.grid_shape, nprocs, self.step, 1, "exchange",
+            self.policy.compositors_for(nprocs),
+        )
+        dec = plan.decomposition
         locals_ = []
         for b in dec.blocks():
             sl = tuple(slice(s, s + c) for s, c in zip(b.start, b.count))
@@ -98,12 +99,11 @@ class InSituPipeline:
         result = self.world.run(
             _insitu_program,
             locals_,
-            dec,
+            plan,
             self.sim,
             self.camera,
             self.transfer,
             self.step,
-            schedule,
             steps,
             render_every,
             flop_rate,
@@ -124,27 +124,22 @@ class InSituPipeline:
             steps=steps,
         )
 
-    def frame_timing(self, result: InSituResult) -> FrameTiming:
-        """The rendered frames' aggregate cost in the paper's shape —
-        I/O is identically zero in situ."""
-        return FrameTiming(io_s=0.0, render_s=result.vis_seconds, composite_s=0.0)
-
 
 def _insitu_program(
     ctx,
     locals_,
-    dec,
+    plan,
     sim,
     camera,
     transfer,
     step,
-    schedule,
     steps,
     render_every,
     flop_rate,
     sample_rate,
 ):
     u = locals_[ctx.rank]
+    dec = plan.decomposition
     block = dec.block(ctx.rank)
     frames = []
     t_sim = t_xch = t_vis = 0.0
@@ -159,12 +154,10 @@ def _insitu_program(
         t_sim += t2 - t1
         if (it + 1) % render_every == 0:
             padded2, gl2 = yield from ghost_exchange(ctx, u, dec, ghost=1)
-            vb = VolumeBlock(padded2, dec.grid_shape, block.start, block.count, gl2)
-            partial = render_block(camera, vb, transfer, step)
-            samples = partial.samples if partial is not None else 0
-            yield from ctx.compute(samples / sample_rate)
-            tile = yield from direct_send_compose(ctx, partial, schedule)
-            frame = yield from assemble_final_image(ctx, tile, schedule, root=0)
+            frame = yield from frame_tail(
+                ctx, plan, padded2, gl2, camera, transfer, step, sample_rate,
+                compositor="directsend",
+            )
             frames.append(frame)
             t_vis += ctx.now - t2
     return frames, u, (t_sim, t_xch, t_vis)

@@ -20,9 +20,8 @@ disciplines, both work-conserving:
   Crucially it also means a read the pipeline is *blocked on* is never
   slowed by its own prefetch.
 * ``fair`` — generalized processor sharing: the k outstanding reads
-  each progress at 1/k of the aggregate rate.  The pessimistic arm for
-  the depth study — deep prefetch steals bandwidth from the read the
-  next frame is waiting on, which is exactly why depth > 2 buys nothing
+  each progress at 1/k of the aggregate rate.  The pessimistic arm: a
+  prefetch steals bandwidth from the read the next frame is waiting on
   (DESIGN.md §15).
 
 Both conserve work: sum of service time equals sum of demand, so a

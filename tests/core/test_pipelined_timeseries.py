@@ -1,12 +1,12 @@
 """The pipelined campaign driver vs the sequential oracle.
 
-The tentpole invariant: at every prefetch depth, for every format,
-camera path, engine backend, and fault plan, the pipelined renderer
-produces frames *bitwise identical* to ``render_time_series`` — images,
-per-frame timings, message counts.  Pipelining only changes the
-campaign clock, and the campaign clock itself must reconcile:
+The tentpole invariant: for every format, camera path, compositing
+backend, and fault plan, the double-buffered renderer produces frames
+*bitwise identical* to ``render_time_series`` — images, per-frame
+timings, message counts.  Pipelining only changes the campaign clock,
+and the campaign clock itself must reconcile:
 ``overlap_saved_s == sequential_s - makespan_s``, spans in a lane never
-overlap, depth 0 reproduces the sequential makespan exactly.
+overlap, and the sequential oracle's makespan is its stage sum.
 """
 
 from __future__ import annotations
@@ -66,13 +66,13 @@ def assert_frames_identical(pipelined, oracle):
 
 
 class TestBitwiseEquivalence:
-    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("compositor", ["directsend", "dfb"])
     @pytest.mark.parametrize("fmt", ["netcdf", "raw"])
-    def test_orbit_campaign_matches_oracle(self, depth, fmt, netcdf_handles, raw_handles):
+    def test_orbit_campaign_matches_oracle(self, compositor, fmt, netcdf_handles, raw_handles):
         handles = netcdf_handles if fmt == "netcdf" else raw_handles
-        renderer = _renderer()
+        renderer = _renderer(compositor=compositor)
         oracle = render_time_series(renderer, handles, orbit_degrees_per_frame=25.0)
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=depth).render(
+        res = PipelinedTimeSeriesRenderer(renderer).render(
             handles, orbit_degrees_per_frame=25.0
         )
         assert_frames_identical(res, oracle)
@@ -81,7 +81,7 @@ class TestBitwiseEquivalence:
     def test_fixed_camera_matches_oracle(self, netcdf_handles):
         renderer = _renderer()
         oracle = render_time_series(renderer, netcdf_handles)
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=2).render(netcdf_handles)
+        res = PipelinedTimeSeriesRenderer(renderer).render(netcdf_handles)
         assert_frames_identical(res, oracle)
 
     def test_camera_factory_matches_oracle(self, netcdf_handles):
@@ -91,7 +91,7 @@ class TestBitwiseEquivalence:
         ]
         renderer = _renderer()
         oracle = render_time_series(renderer, netcdf_handles, camera_factory=lambda i: cams[i])
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=1).render(
+        res = PipelinedTimeSeriesRenderer(renderer).render(
             netcdf_handles, camera_factory=lambda i: cams[i]
         )
         assert_frames_identical(res, oracle)
@@ -106,17 +106,16 @@ class TestBitwiseEquivalence:
         )
         renderer = _renderer(fault=fault)
         oracle = render_time_series(renderer, netcdf_handles, orbit_degrees_per_frame=15.0)
-        for depth in (0, 1, 2):
-            res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=depth).render(
-                netcdf_handles, orbit_degrees_per_frame=15.0
-            )
-            assert_frames_identical(res, oracle)
-            assert res.accounting_failures() == []
+        res = PipelinedTimeSeriesRenderer(renderer).render(
+            netcdf_handles, orbit_degrees_per_frame=15.0
+        )
+        assert_frames_identical(res, oracle)
+        assert res.accounting_failures() == []
 
     def test_camera_restored_after_campaign(self, netcdf_handles):
         renderer = _renderer()
         before = renderer.camera
-        PipelinedTimeSeriesRenderer(renderer, prefetch_depth=1).render(
+        PipelinedTimeSeriesRenderer(renderer).render(
             netcdf_handles, orbit_degrees_per_frame=30.0
         )
         assert renderer.camera is before
@@ -124,22 +123,24 @@ class TestBitwiseEquivalence:
     def test_plan_cache_hits_on_every_frame(self, netcdf_handles):
         """The prefetch warms the plan cache; the render is a guaranteed hit."""
         renderer = _renderer()
-        PipelinedTimeSeriesRenderer(renderer, prefetch_depth=2).render(
+        PipelinedTimeSeriesRenderer(renderer).render(
             netcdf_handles, orbit_degrees_per_frame=25.0
         )
         assert renderer.plan_cache.hits >= STEPS
 
 
 class TestCampaignClock:
-    def test_depth_zero_reproduces_sequential_makespan(self, netcdf_handles):
+    def test_sequential_oracle_makespan_is_stage_sum(self, netcdf_handles):
         renderer = _renderer()
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=0).render(netcdf_handles)
-        assert res.makespan_s == pytest.approx(res.sequential_s)
-        assert res.overlap_saved_s == pytest.approx(0.0)
+        res = render_time_series(renderer, netcdf_handles)
+        assert res.timeline is None
+        assert res.makespan_s == res.sequential_s
+        assert res.sequential_s == pytest.approx(sum(f.timing.total_s for f in res.frames))
+        assert res.overlap_saved_s == 0.0
 
     def test_overlap_reconciles(self, netcdf_handles):
         renderer = _renderer()
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=1).render(netcdf_handles)
+        res = PipelinedTimeSeriesRenderer(renderer).render(netcdf_handles)
         assert res.overlap_saved_s == pytest.approx(res.sequential_s - res.makespan_s)
         assert 0.0 <= res.overlap_saved_s <= res.sequential_s
         assert res.speedup >= 1.0
@@ -148,7 +149,7 @@ class TestCampaignClock:
     def test_makespan_is_wall_clock_not_stage_sum(self, netcdf_handles):
         """An I/O-heavy campaign's makespan beats the per-stage sums."""
         renderer = _renderer()
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=1).render(
+        res = PipelinedTimeSeriesRenderer(renderer).render(
             netcdf_handles, orbit_degrees_per_frame=20.0
         )
         # Still bounded below by the serialized I/O plus the last compute.
@@ -161,12 +162,12 @@ class TestCampaignClock:
         with pytest.raises(ConfigError):
             PipelinedTimeSeriesRenderer(renderer).render([])
 
-    def test_rejects_bad_depth_and_discipline(self):
+    def test_rejects_bad_discipline(self):
         renderer = _renderer()
         with pytest.raises(ConfigError):
-            PipelinedTimeSeriesRenderer(renderer, prefetch_depth=-1)
-        with pytest.raises(ConfigError):
             PipelinedTimeSeriesRenderer(renderer, discipline="psychic")
+        with pytest.raises(ConfigError):
+            simulate_pipeline([1.0], [1.0], "psychic")
 
 
 class TestSimulatedPipeline:
@@ -178,45 +179,41 @@ class TestSimulatedPipeline:
     @pytest.mark.parametrize("discipline", ["fifo", "fair"])
     def test_schedule_invariants_hold(self, seed, discipline):
         io, rc = self._random_demands(seed)
-        for depth in (0, 1, 2, 3):
-            tl = simulate_pipeline(io, rc, depth, discipline)
-            assert tl.failures() == [], f"depth {depth}: {tl.failures()}"
-            # Work conservation: one storage server, one compute lane.
-            assert tl.makespan_s >= sum(io) - 1e-9
-            assert tl.makespan_s >= sum(rc) - 1e-9
-            assert tl.makespan_s <= sum(io) + sum(rc) + 1e-9
+        tl = simulate_pipeline(io, rc, discipline)
+        assert tl.failures() == []
+        # Work conservation: one storage server, one compute lane.
+        assert tl.makespan_s >= sum(io) - 1e-9
+        assert tl.makespan_s >= sum(rc) - 1e-9
+        assert tl.makespan_s <= sum(io) + sum(rc) + 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_depth_monotonicity_fifo(self, seed):
+        """Two buffers never lose to one: the double-buffered makespan is
+        at most the sequential stage sum, and each read of frame j >= 2
+        waits for frame j-2 to release its buffer."""
         io, rc = self._random_demands(seed)
-        spans = [simulate_pipeline(io, rc, d).makespan_s for d in (0, 1, 2, 3)]
-        for a, b in zip(spans, spans[1:]):
-            assert b <= a + 1e-9
-        assert spans[0] == pytest.approx(sum(io) + sum(rc))
+        tl = simulate_pipeline(io, rc)
+        assert tl.makespan_s <= sum(io) + sum(rc) + 1e-9
+        for s in tl.slots[2:]:
+            prior = tl.slots[s.index - 2]
+            assert s.read_issue_s >= prior.compute_done_s - 1e-9
 
     def test_depth_one_overlaps_io_bound(self):
-        # Equal frames, io = 2 * compute: fifo pins makespan at N*io + rc.
-        tl = simulate_pipeline([2.0] * 5, [1.0] * 5, 1)
+        # Equal frames, io = 2 * compute: fifo pins makespan at N*io + rc,
+        # against 15.0 s for the sequential sum.
+        tl = simulate_pipeline([2.0] * 5, [1.0] * 5)
         assert tl.makespan_s == pytest.approx(11.0)
-        tl0 = simulate_pipeline([2.0] * 5, [1.0] * 5, 0)
-        assert tl0.makespan_s == pytest.approx(15.0)
-
-    def test_depth_beyond_two_buys_nothing_fifo(self):
-        io, rc = [2.0, 1.5, 2.5, 1.0], [1.0, 1.2, 0.8, 1.1]
-        assert simulate_pipeline(io, rc, 2).makespan_s == pytest.approx(
-            simulate_pipeline(io, rc, 8).makespan_s
-        )
 
     def test_fair_sharing_is_pessimistic(self):
         """Equal-share contention can only slow the blocking read down."""
         io, rc = [1.0] * 4, [1.0] * 4
-        fifo = simulate_pipeline(io, rc, 2, "fifo").makespan_s
-        fair = simulate_pipeline(io, rc, 2, "fair").makespan_s
+        fifo = simulate_pipeline(io, rc, "fifo").makespan_s
+        fair = simulate_pipeline(io, rc, "fair").makespan_s
         assert fair >= fifo - 1e-9
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            simulate_pipeline([1.0, 2.0], [1.0], 1)
+            simulate_pipeline([1.0, 2.0], [1.0])
 
 
 class TestCampaignTraceSpans:
@@ -224,7 +221,7 @@ class TestCampaignTraceSpans:
         """Per-lane spans are disjoint: reads serialize on the storage
         station, computes serialize on the frame loop."""
         renderer = _renderer()
-        res = PipelinedTimeSeriesRenderer(renderer, prefetch_depth=2).render(
+        res = PipelinedTimeSeriesRenderer(renderer).render(
             netcdf_handles, orbit_degrees_per_frame=25.0
         )
         lanes: dict[int, list] = {}
@@ -237,7 +234,7 @@ class TestCampaignTraceSpans:
                 assert b.t0 >= a.t1 - 1e-9, f"{a.name} overlaps {b.name}"
 
     def test_synthetic_trace_matches_timeline(self):
-        tl = simulate_pipeline([1.0, 2.0, 1.5], [0.5, 0.7, 0.6], 1)
+        tl = simulate_pipeline([1.0, 2.0, 1.5], [0.5, 0.7, 0.6])
         tr = campaign_trace(tl)
         assert len(tr.spans) == 2 * len(tl.slots)
         assert max(s.t1 for s in tr.spans) == pytest.approx(tl.makespan_s)

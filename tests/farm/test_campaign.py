@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.farm.backends import CampaignPayload
+from repro.farm.backends import CampaignPayload, ExecuteBackend
 from repro.farm.request import FrameRequest
 from repro.farm.scenario import FarmScenario, SessionSpec, SizePolicy
 from repro.farm.workload import Workload
@@ -25,7 +25,7 @@ from repro.utils.errors import ConfigError
 def model_scenario(**session_kw):
     kw = dict(
         name="anim0", kind="orbit", campaign=True, requests=8,
-        orbit_deg=15.0, prefetch_depth=1, arrival="open", rate_hz=0.05,
+        orbit_deg=15.0, arrival="open", rate_hz=0.05,
         cores=4096,
     )
     kw.update(session_kw)
@@ -39,11 +39,11 @@ def model_scenario(**session_kw):
     )
 
 
-def execute_scenario(depth=1, frames=4):
+def execute_scenario(frames=4):
     return FarmScenario(
         sessions=(
             SessionSpec(name="anim0", kind="orbit", campaign=True,
-                        requests=frames, orbit_deg=20.0, prefetch_depth=depth,
+                        requests=frames, orbit_deg=20.0,
                         arrival="closed", think_s=0.1, cores=16, dataset="mini"),
         ),
         mode="execute",
@@ -60,13 +60,10 @@ class TestCampaignShape:
         req = spec.request(0)
         assert req.is_campaign and req.frames == 8
         assert req.orbit_deg == spec.orbit_deg
-        assert req.prefetch_depth == spec.prefetch_depth
 
     def test_campaign_requires_orbit(self):
         with pytest.raises(ConfigError):
             SessionSpec(name="a", kind="browse", campaign=True)
-        with pytest.raises(ConfigError):
-            SessionSpec(name="a", kind="orbit", campaign=True, prefetch_depth=-1)
 
     def test_workload_counts_jobs_and_frames(self):
         w = Workload(sessions=(
@@ -79,11 +76,11 @@ class TestCampaignShape:
     def test_frame_key_carries_animation_not_depth(self):
         base = dict(session="s", seq=0, dataset="1120", step=0,
                     azimuth_deg=30.0, elevation_deg=20.0)
-        a = FrameRequest(**base, frames=8, orbit_deg=15.0, prefetch_depth=1)
-        b = FrameRequest(**base, frames=8, orbit_deg=15.0, prefetch_depth=3)
-        c = FrameRequest(**base, frames=8, orbit_deg=30.0, prefetch_depth=1)
+        a = FrameRequest(**base, frames=8, orbit_deg=15.0)
+        b = FrameRequest(**{**base, "session": "t", "seq": 4}, frames=8, orbit_deg=15.0)
+        c = FrameRequest(**base, frames=8, orbit_deg=30.0)
         single = FrameRequest(**base)
-        assert a.frame_key == b.frame_key  # depth changes when, not what
+        assert a.frame_key == b.frame_key  # same animation, any client
         assert a.frame_key != c.frame_key  # different animation
         assert a.frame_key != single.frame_key  # not the single frame
 
@@ -107,21 +104,17 @@ class TestModelCampaigns:
         assert rec.serve_s == pytest.approx(payload.makespan_s)
 
     def test_prefetch_overlaps_io(self):
-        """Depth 1 must beat depth 0 on the priced campaign (io > 0, rc > 0)."""
-        d0 = model_scenario(prefetch_depth=0).run()
-        d1 = model_scenario(prefetch_depth=1).run()
-        p0 = d0.campaign_records()[0].payload
-        p1 = d1.campaign_records()[0].payload
-        assert p0.makespan_s == pytest.approx(p0.sequential_s)
-        assert p1.makespan_s < p0.makespan_s
-        assert p1.overlap_saved_s > 0
+        """Double buffering beats the sequential stage sum on the priced
+        campaign (io > 0, rc > 0)."""
+        payload = model_scenario().run().campaign_records()[0].payload
+        assert payload.makespan_s < payload.sequential_s
+        assert payload.overlap_saved_s > 0
 
     def test_stats_surface_in_summary(self):
         res = model_scenario().run()
         stats = res.campaign_stats()
         assert stats["campaigns"] == 1 and stats["frames"] == 8
         assert stats["frames_per_s"]["mean"] > 0
-        assert stats["prefetch_depths"] == [1]
         assert res.summary()["campaigns"] == stats
         assert "campaigns" in res.report()
 
@@ -138,7 +131,7 @@ class TestModelCampaigns:
 class TestExecuteCampaigns:
     def test_renders_all_frames_with_clean_books(self):
         tracer = Tracer(enabled=True)
-        res = execute_scenario(depth=2, frames=4).run(tracer)
+        res = execute_scenario(frames=4).run(tracer)
         assert res.accounting_failures() == []
         (rec,) = res.campaign_records()
         payload = rec.payload
@@ -150,12 +143,18 @@ class TestExecuteCampaigns:
         assert not np.allclose(payload.detail[0], payload.detail[-1], atol=1e-4)
 
     def test_depth_invariant_frames(self):
-        """The delivered images are bitwise depth-independent."""
-        r0 = execute_scenario(depth=0).run()
-        r2 = execute_scenario(depth=2).run()
-        for a, b in zip(r0.campaign_records()[0].payload.detail,
-                        r2.campaign_records()[0].payload.detail):
-            assert np.array_equal(a, b)
+        """The delivered images are bitwise the frames single requests
+        render for the same orbit cameras: double buffering changes when
+        frames are ready, never what they contain."""
+        backend = ExecuteBackend()
+        base = dict(session="s", dataset="mini", step=0, elevation_deg=20.0, cores=16)
+        campaign = FrameRequest(seq=0, azimuth_deg=30.0, frames=3, orbit_deg=20.0, **base)
+        _t, payload = backend.render(campaign, 16)
+        assert len(payload.detail) == 3
+        for i, image in enumerate(payload.detail):
+            single = FrameRequest(seq=i + 1, azimuth_deg=(30.0 + i * 20.0) % 360.0, **base)
+            _t, frame = backend.render(single, 16)
+            assert np.array_equal(image, frame), f"frame {i}"
 
     def test_json_scenario_roundtrip(self):
         spec = {
@@ -164,7 +163,7 @@ class TestExecuteCampaigns:
             "size_policy": {"min_nodes": 16, "max_nodes": 16},
             "sessions": [
                 {"name": "anim0", "kind": "orbit", "campaign": True,
-                 "requests": 3, "orbit_deg": 30.0, "prefetch_depth": 2,
+                 "requests": 3, "orbit_deg": 30.0,
                  "arrival": "closed", "think_s": 0.1, "cores": 16,
                  "dataset": "mini"},
             ],

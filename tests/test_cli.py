@@ -76,7 +76,7 @@ class TestCLI:
         trace_out = tmp_path / "campaign.json"
         rc = main([
             "timeseries", "--steps", "3", "--grid", "12", "--cores", "8",
-            "--image", "24", "--prefetch-depth", "2", "--check",
+            "--image", "24", "--check",
             "--trace-out", str(trace_out), "--out", str(tmp_path / "frame"),
         ])
         assert rc == 0
